@@ -64,6 +64,24 @@ void BM_CodebookDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CodebookDecode)->Arg(17)->Arg(65)->Arg(257);
 
+// The owner-finding decode: a packed received word with the right message
+// as candidate, two bits flipped -- inside the unique-decoding radius, so
+// one codeword comparison replaces the q-word scan.
+void BM_CodebookDecodeCandidate(benchmark::State& state) {
+  const int q = static_cast<int>(state.range(0));
+  const CodebookCode code =
+      CodebookCode::Random(q, 8 * CeilLog2(q) + 8, 3);
+  Rng rng(4);
+  const std::uint64_t message = rng.UniformInt(q);
+  BitString word = code.Encode(message);
+  word.Set(0, !word[0]);
+  word.Set(1, !word[1]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(code.Decode(word.words(), message));
+  }
+}
+BENCHMARK(BM_CodebookDecodeCandidate)->Arg(17)->Arg(257);
+
 void BM_HadamardDecode(benchmark::State& state) {
   const HadamardCode code(static_cast<int>(state.range(0)));
   Rng rng(5);

@@ -1,5 +1,9 @@
 #include "coding/owner_finding.h"
 
+#include <algorithm>
+#include <span>
+#include <utility>
+
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -50,10 +54,15 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
   }
 
   engine.SetPhase("owner-finding");
+  const CodebookCode& book = code.codebook();
   const std::size_t word_len = code.codeword_length();
+  const std::size_t stride = book.words_per_codeword();
   const int iterations = static_cast<int>(chunk_len) + n;
   std::vector<std::uint8_t> beeps(n, 0);
-  std::vector<BitString> received(n);
+  // Party i's received word, packed: received[i * stride, (i+1) * stride).
+  std::vector<std::uint64_t> received(static_cast<std::size_t>(n) * stride);
+  // The parties transmitting this iteration, with their packed codewords.
+  std::vector<std::pair<int, std::span<const std::uint64_t>>> speakers;
 
   for (int l = 0; l < iterations; ++l) {
     // Transmission: each party that believes it holds the turn beeps its
@@ -61,29 +70,44 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
     // beliefs agree and exactly one party speaks; under independent noise
     // diverged beliefs can collide -- the OR then garbles the word, which
     // downstream verification treats as any other decoding error.)
-    std::vector<BitString> words(n);
+    speakers.clear();
     for (int i = 0; i < n; ++i) {
       if (state[i].turn == i) {
-        words[i] = code.Encode(
-            NextMessage(i, state[i], pi_view[i], beeped[i], code));
+        speakers.emplace_back(
+            i, book.Codeword(
+                   NextMessage(i, state[i], pi_view[i], beeped[i], code)));
       }
     }
-    for (int i = 0; i < n; ++i) received[i] = BitString();
+    std::fill(received.begin(), received.end(), 0);
     for (std::size_t t = 0; t < word_len; ++t) {
-      for (int i = 0; i < n; ++i) {
-        beeps[i] = (!words[i].empty() && words[i][t]) ? 1 : 0;
+      const std::size_t wi = t / BitString::kWordBits;
+      const std::uint64_t bit = std::uint64_t{1} << (t % BitString::kWordBits);
+      for (const auto& [i, word] : speakers) {
+        beeps[i] = (word[wi] & bit) != 0 ? 1 : 0;
       }
       const auto round_bits = engine.Round(beeps);
-      for (int i = 0; i < n; ++i) received[i].PushBack(round_bits[i] != 0);
+      std::uint64_t* column = received.data() + wi;
+      for (int i = 0; i < n; ++i) {
+        if (round_bits[i] != 0) column[i * stride] |= bit;
+      }
     }
+    for (const auto& speaker : speakers) beeps[speaker.first] = 0;
     // Decoding + state update, per party, from that party's received bits.
+    // The previous party's decode is only a starting guess for the exact
+    // decoder (see CodebookCode::Decode): it saves the scan when both
+    // received words lie near the same codeword and never changes the
+    // decoded value, so no party's state depends on another's.
+    std::uint64_t candidate = code.next_token();
     for (int i = 0; i < n; ++i) {
       // Once this party's turn counter has run past the last party (only
       // possible after decoding errors), every remaining iteration carries
       // no usable information for it: ignore locally rather than record
       // claims by a non-existent party.
       if (state[i].turn >= n) continue;
-      const std::uint64_t sigma = code.Decode(received[i]);
+      const std::uint64_t sigma = book.Decode(
+          std::span<const std::uint64_t>(&received[i * stride], stride),
+          candidate);
+      candidate = sigma;
       if (sigma == code.next_token()) {
         ++state[i].turn;
       } else {

@@ -1,5 +1,7 @@
 #include "ecc/codebook.h"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -24,16 +26,25 @@ bool Contains(const std::vector<BitString>& book, const BitString& word) {
 }  // namespace
 
 CodebookCode::CodebookCode(std::vector<BitString> codebook)
-    : codebook_(std::move(codebook)) {
-  NB_REQUIRE(codebook_.size() >= 2, "codebook needs at least two words");
-  const std::size_t length = codebook_.front().size();
-  NB_REQUIRE(length > 0, "codewords must be non-empty");
-  for (std::size_t i = 0; i < codebook_.size(); ++i) {
-    NB_REQUIRE(codebook_[i].size() == length, "codeword lengths differ");
-    for (std::size_t j = i + 1; j < codebook_.size(); ++j) {
-      NB_REQUIRE(!(codebook_[i] == codebook_[j]), "duplicate codewords");
+    : num_messages_(codebook.size()),
+      length_(codebook.empty() ? 0 : codebook.front().size()),
+      words_per_codeword_((length_ + BitString::kWordBits - 1) /
+                          BitString::kWordBits) {
+  NB_REQUIRE(num_messages_ >= 2, "codebook needs at least two words");
+  NB_REQUIRE(length_ > 0, "codewords must be non-empty");
+  table_.reserve(num_messages_ * words_per_codeword_);
+  for (const BitString& word : codebook) {
+    NB_REQUIRE(word.size() == length_, "codeword lengths differ");
+    table_.insert(table_.end(), word.words().begin(), word.words().end());
+  }
+  d_min_ = std::numeric_limits<std::size_t>::max();
+  for (std::uint64_t a = 0; a < num_messages_; ++a) {
+    const std::uint64_t* wa = &table_[a * words_per_codeword_];
+    for (std::uint64_t b = a + 1; b < num_messages_; ++b) {
+      d_min_ = std::min(d_min_, Distance(b, wa));
     }
   }
+  NB_REQUIRE(d_min_ > 0, "duplicate codewords");
 }
 
 CodebookCode CodebookCode::Random(std::uint64_t num_messages,
@@ -84,18 +95,36 @@ CodebookCode CodebookCode::GilbertVarshamov(std::uint64_t num_messages,
   return CodebookCode(std::move(book));
 }
 
-BitString CodebookCode::Encode(std::uint64_t message) const {
-  NB_REQUIRE(message < codebook_.size(), "message out of range");
-  return codebook_[message];
+std::span<const std::uint64_t> CodebookCode::Codeword(
+    std::uint64_t message) const {
+  NB_REQUIRE(message < num_messages_, "message out of range");
+  return {&table_[message * words_per_codeword_], words_per_codeword_};
 }
 
-std::uint64_t CodebookCode::Decode(const BitString& received) const {
-  NB_REQUIRE(received.size() == codeword_length(),
-             "received word has wrong length");
+BitString CodebookCode::Encode(std::uint64_t message) const {
+  const std::span<const std::uint64_t> packed = Codeword(message);
+  BitString word(length_);
+  for (std::size_t wi = 0; wi < packed.size(); ++wi) {
+    word.SetWord(wi, packed[wi]);
+  }
+  return word;
+}
+
+std::size_t CodebookCode::Distance(std::uint64_t message,
+                                   const std::uint64_t* received) const {
+  const std::uint64_t* word = &table_[message * words_per_codeword_];
+  std::size_t d = 0;
+  for (std::size_t wi = 0; wi < words_per_codeword_; ++wi) {
+    d += static_cast<std::size_t>(std::popcount(word[wi] ^ received[wi]));
+  }
+  return d;
+}
+
+std::uint64_t CodebookCode::Scan(const std::uint64_t* received) const {
   std::uint64_t best_message = 0;
   std::size_t best_distance = std::numeric_limits<std::size_t>::max();
-  for (std::uint64_t m = 0; m < codebook_.size(); ++m) {
-    const std::size_t d = codebook_[m].HammingDistance(received);
+  for (std::uint64_t m = 0; m < num_messages_; ++m) {
+    const std::size_t d = Distance(m, received);
     if (d < best_distance) {
       best_distance = d;
       best_message = m;
@@ -104,9 +133,28 @@ std::uint64_t CodebookCode::Decode(const BitString& received) const {
   return best_message;
 }
 
+std::uint64_t CodebookCode::Decode(const BitString& received) const {
+  NB_REQUIRE(received.size() == length_, "received word has wrong length");
+  return Scan(received.words().data());
+}
+
+std::uint64_t CodebookCode::Decode(std::span<const std::uint64_t> received,
+                                   std::uint64_t candidate) const {
+  NB_REQUIRE(received.size() == words_per_codeword_,
+             "received word has wrong word count");
+  NB_REQUIRE((received.back() & ~BitString::TailMask(length_)) == 0,
+             "received word has nonzero tail bits");
+  NB_REQUIRE(candidate < num_messages_, "candidate out of range");
+  // Unique-decoding radius: with d = d(r, C(candidate)) and 2d < d_min,
+  // every other codeword c' has d(r, c') >= d_min - d > d, so the
+  // candidate is the strict nearest codeword -- the scan's answer.
+  if (2 * Distance(candidate, received.data()) < d_min_) return candidate;
+  return Scan(received.data());
+}
+
 std::string CodebookCode::name() const {
-  return "Codebook(q=" + std::to_string(codebook_.size()) +
-         ",L=" + std::to_string(codeword_length()) + ")";
+  return "Codebook(q=" + std::to_string(num_messages_) +
+         ",L=" + std::to_string(length_) + ")";
 }
 
 }  // namespace noisybeeps

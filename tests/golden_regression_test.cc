@@ -9,9 +9,12 @@
 #include <sstream>
 
 #include "channel/correlated.h"
+#include "channel/independent.h"
 #include "channel/trace.h"
+#include "coding/hierarchical_sim.h"
 #include "coding/rewind_sim.h"
 #include "protocol/executor.h"
+#include "tasks/bit_exchange.h"
 #include "tasks/input_set.h"
 #include "util/rng.h"
 
@@ -57,6 +60,51 @@ TEST(Golden, RewindSimulationCostIsPinned) {
   const SimulationResult result = sim.Simulate(*protocol, channel, rng);
   EXPECT_TRUE(result.AllMatch(ReferenceTranscript(*protocol)));
   EXPECT_EQ(result.noisy_rounds_used, 1160);
+}
+
+// FNV-1a/64 over every party's transcript bits and owner records, in
+// party order, with lengths mixed in so boundaries cannot alias.
+std::uint64_t DigestViews(const SimulationResult& result) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const BitString& t : result.transcripts) {
+    mix(t.size());
+    for (const std::uint64_t w : t.words()) mix(w);
+  }
+  for (const std::vector<int>& owners : result.owners) {
+    mix(owners.size());
+    for (const int o : owners) mix(static_cast<std::uint64_t>(o));
+  }
+  return h;
+}
+
+// Independent noise: every party receives its own word, so views diverge
+// and owner records can differ per party.  Pins the exact per-party
+// owners and transcripts, not just the round cost.
+TEST(Golden, HierarchicalIndependentViewsArePinned) {
+  Rng rng(18);
+  const BitExchangeInstance instance = SampleBitExchange(64, 8, rng);
+  const auto protocol = MakeBitExchangeProtocol(instance);
+  const IndependentNoisyChannel channel(0.1);
+  const HierarchicalSimulator sim;
+  const SimulationResult result = sim.Simulate(*protocol, channel, rng);
+  ASSERT_EQ(result.owners.size(), 64u);
+  int owner_views_unlike_party0 = 0;
+  for (const std::vector<int>& owners : result.owners) {
+    owner_views_unlike_party0 += owners != result.owners.front();
+  }
+  EXPECT_EQ(owner_views_unlike_party0, 63);
+  EXPECT_EQ(result.noisy_rounds_used, 91720);
+  EXPECT_EQ(result.verdict.status, SimulationStatus::kDegraded);
+  EXPECT_EQ(result.verdict.majority_size, 63);
+  EXPECT_EQ(result.verdict.first_divergent_phase, "owner-finding");
+  EXPECT_EQ(result.verdict.first_divergence_round, 14752);
+  EXPECT_EQ(DigestViews(result), 0xdb22e3332c939f01ULL);
 }
 
 TEST(Golden, TraceCsvRoundTrips) {

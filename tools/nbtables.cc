@@ -29,6 +29,8 @@ using namespace noisybeeps;
 struct Cell {
   double blowup = 0;
   double success = 0;
+  // 95% Wilson lower bound on the success rate.
+  double success_low = 0;
 };
 
 struct TrialOutcome {
@@ -43,7 +45,7 @@ Cell Aggregate(const std::vector<TrialOutcome>& outcomes) {
     counter.Record(o.ok);
     blowup.Add(o.blowup);
   }
-  return Cell{blowup.mean(), counter.rate()};
+  return Cell{blowup.mean(), counter.rate(), counter.interval().low};
 }
 
 // Trials are fanned out with ParallelTrials: per-trial Rngs are split
@@ -90,15 +92,18 @@ double LogN(int n) {
 
 void TableE1(int trials, std::uint64_t seed, bool fast) {
   std::printf("## E1 -- Theorem 1.2: O(log n) overhead (rewind, eps=0.05)\n\n");
-  std::printf("| n | blowup | blowup/log2(n) | success |\n|---|---|---|---|\n");
+  std::printf(
+      "| n | blowup | blowup/log2(n) | success | 95%% Wilson lower bound |\n"
+      "|---|---|---|---|---|\n");
   const CorrelatedNoisyChannel channel(0.05);
   const RewindSimulator sim;
-  for (int n : {8, 16, 32, 64, fast ? 64 : 128}) {
-    if (n == 64 && fast) continue;
+  for (int n : {8, 16, 32, 64, 128, 256, 512}) {
+    if (fast && n > 32) continue;
     Rng rng(seed + 1000 + n);
     const Cell cell = MeasureInputSet(sim, channel, n, trials, rng);
-    std::printf("| %d | %.1f | %.1f | %.0f%% |\n", n, cell.blowup,
-                cell.blowup / LogN(n), 100 * cell.success);
+    std::printf("| %d | %.1f | %.1f | %.0f%% | %.1f%% |\n", n, cell.blowup,
+                cell.blowup / LogN(n), 100 * cell.success,
+                100 * cell.success_low);
   }
   std::printf("\n");
 }
