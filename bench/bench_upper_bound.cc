@@ -5,8 +5,10 @@
 // Sweeps n and reports, per workload, the measured blowup
 // (noisy rounds / T), the blowup normalized by log2(n) -- which the
 // theorem says should flatten to a constant -- and the end-to-end success
-// rate.  Workloads: InputSet (the paper's task) and BitExchange (the
-// generic non-adaptive protocol where every 1 has a unique owner).
+// rate.  Workloads: InputSet (the paper's task), BitExchange (the
+// generic non-adaptive protocol where every 1 has a unique owner), and
+// transcript-adaptive random parties under the repetition scheme (the
+// cost of party decisions, with no owner finding or decoding).
 //
 // Trials run through bench_harness.h's resilient engine; each cell also
 // surfaces the retry/abandonment taxonomy of its run.
@@ -14,9 +16,12 @@
 
 #include "bench_harness.h"
 #include "channel/correlated.h"
+#include "channel/independent.h"
+#include "coding/repetition_sim.h"
 #include "coding/rewind_sim.h"
 #include "tasks/bit_exchange.h"
 #include "tasks/input_set.h"
+#include "tasks/random_protocol.h"
 #include "util/math.h"
 #include "util/rng.h"
 
@@ -94,6 +99,41 @@ void BM_RewindOverhead_BitExchange(benchmark::State& state) {
 }
 BENCHMARK(BM_RewindOverhead_BitExchange)
     ->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
+    ->Iterations(1)->Unit(benchmark::kMillisecond);
+
+// Footnote 1's repetition scheme on pseudorandom transcript-adaptive
+// parties (the service's `random` task: T = 4n, density 0.1) under
+// per-party noise.  Every beep hashes the party's own received prefix, so
+// this cell prices ChooseBeep rather than the coding layer.
+void BM_RepetitionOverhead_RandomAdaptive(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const IndependentNoisyChannel channel(kEps);
+  const RepetitionSimulator sim;
+  BenchRun run;
+  for (auto _ : state) {
+    run = bench::RunTrials(kTrials, 5000 + n, [&](int, Rng& rng) {
+      const RandomProtocolSpec spec =
+          SampleRandomProtocol(n, 4 * n, 0.1, /*adaptive=*/true, rng);
+      const auto protocol = MakeRandomProtocol(spec);
+      const std::uint64_t expected =
+          TranscriptDigest(ReferenceTranscript(*protocol));
+      const SimulationResult result = sim.Simulate(*protocol, channel, rng);
+      BenchPoint point;
+      point.success = !result.budget_exhausted();
+      for (const PartyOutput& out : result.outputs) {
+        point.success = point.success && out.size() == 1 && out[0] == expected;
+      }
+      point.status = result.budget_exhausted() ? 2 : 0;
+      point.rounds = result.noisy_rounds_used;
+      point.value =
+          static_cast<double>(result.noisy_rounds_used) / protocol->length();
+      return point;
+    });
+  }
+  ReportCell(state, run, n);
+}
+BENCHMARK(BM_RepetitionOverhead_RandomAdaptive)
+    ->Arg(64)->Arg(192)->Arg(512)
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // Ablation: how the blowup splits between the simulation phase, the owner

@@ -15,6 +15,15 @@
 // Randomized protocols fix their coins inside the party's input/seed, i.e.
 // they are distributions over deterministic protocols, exactly as in the
 // paper.
+//
+// Pure means the ANSWER is a function of the prefix, not that the object
+// is immutable: a party may keep a private memo behind its const methods
+// (e.g. a digest of the last prefix it saw, to resume from) as long as
+// every answer stays exactly what a freshly built party would return for
+// that prefix, whatever order the calls come in.  A Party is never called
+// from two threads at once: each trial builds its own Protocol (the trial
+// body in service/workload.cc), and parallel engines run whole trials per
+// worker, so such a memo needs no lock.
 #ifndef NOISYBEEPS_PROTOCOL_PARTY_H_
 #define NOISYBEEPS_PROTOCOL_PARTY_H_
 

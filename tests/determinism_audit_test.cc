@@ -10,6 +10,8 @@
 // asserting bit-identical fingerprints.  A rewind run under a five-party
 // FaultPlan rides along, pinning the fault layer to the same contract
 // (babbler streams derive from the plan seed, never from shared state).
+// So do transcript-adaptive random parties, whose per-party prefix memo
+// is mutable state that must stay owned by one trial.
 // Any cross-trial Rng sharing,
 // shared mutable channel state, or racy result write shows up here as a
 // fingerprint mismatch (and under TSan as a reported race; CI runs both).
@@ -42,6 +44,7 @@
 #include "service/protocol.h"
 #include "service/service.h"
 #include "tasks/input_set.h"
+#include "tasks/random_protocol.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -209,6 +212,28 @@ TEST(DeterminismAudit, FaultedRewindSimulation) {
     options.max_rounds = 20000;  // bounded: babbler runs can be expensive
     const RewindSimulator sim(options);
     return FingerprintSimulation(sim.Simulate(*protocol, channel, plan, rng));
+  });
+}
+
+TEST(DeterminismAudit, AdaptiveRandomProtocol) {
+  // Random parties keep a private prefix-digest memo behind their const
+  // methods.  Each trial builds its own Protocol, so no memo is shared
+  // between workers; this pins that ownership model (TSan in CI) under
+  // both the one-bit extensions of the repetition scheme and the rewinds
+  // and divergent candidates of the rewind scheme.
+  AuditWorkload("adaptive-random-protocol", 808, [](int, Rng& rng) {
+    const RandomProtocolSpec spec =
+        SampleRandomProtocol(12, 48, 0.1, /*adaptive=*/true, rng);
+    const auto protocol = MakeRandomProtocol(spec);
+    const IndependentNoisyChannel independent(0.05);
+    const CorrelatedNoisyChannel correlated(0.05);
+    const RepetitionSimulator repetition;
+    const RewindSimulator rewind;
+    Fingerprint fp;
+    fp.Mix(FingerprintSimulation(
+        repetition.Simulate(*protocol, independent, rng)));
+    fp.Mix(FingerprintSimulation(rewind.Simulate(*protocol, correlated, rng)));
+    return fp.value();
   });
 }
 

@@ -12,10 +12,12 @@
 #include "channel/independent.h"
 #include "channel/trace.h"
 #include "coding/hierarchical_sim.h"
+#include "coding/repetition_sim.h"
 #include "coding/rewind_sim.h"
 #include "protocol/executor.h"
 #include "tasks/bit_exchange.h"
 #include "tasks/input_set.h"
+#include "tasks/random_protocol.h"
 #include "util/rng.h"
 
 namespace noisybeeps {
@@ -62,25 +64,48 @@ TEST(Golden, RewindSimulationCostIsPinned) {
   EXPECT_EQ(result.noisy_rounds_used, 1160);
 }
 
-// FNV-1a/64 over every party's transcript bits and owner records, in
-// party order, with lengths mixed in so boundaries cannot alias.
-std::uint64_t DigestViews(const SimulationResult& result) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
+// FNV-1a/64 over 64-bit values, byte by byte; callers mix lengths in so
+// boundaries cannot alias.
+class Fnv64 {
+ public:
+  void Mix(std::uint64_t v) {
     for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 0x100000001b3ULL;
+      h_ ^= (v >> (8 * b)) & 0xff;
+      h_ *= 0x100000001b3ULL;
     }
-  };
-  for (const BitString& t : result.transcripts) {
-    mix(t.size());
-    for (const std::uint64_t w : t.words()) mix(w);
   }
+  void MixTranscripts(const std::vector<BitString>& transcripts) {
+    for (const BitString& t : transcripts) {
+      Mix(t.size());
+      for (const std::uint64_t w : t.words()) Mix(w);
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// Every party's transcript bits and owner records, in party order.
+std::uint64_t DigestViews(const SimulationResult& result) {
+  Fnv64 fnv;
+  fnv.MixTranscripts(result.transcripts);
   for (const std::vector<int>& owners : result.owners) {
-    mix(owners.size());
-    for (const int o : owners) mix(static_cast<std::uint64_t>(o));
+    fnv.Mix(owners.size());
+    for (const int o : owners) fnv.Mix(static_cast<std::uint64_t>(o));
   }
-  return h;
+  return fnv.value();
+}
+
+// Every party's transcript bits and output words, in party order.
+std::uint64_t DigestTranscriptsAndOutputs(const SimulationResult& result) {
+  Fnv64 fnv;
+  fnv.MixTranscripts(result.transcripts);
+  for (const PartyOutput& out : result.outputs) {
+    fnv.Mix(out.size());
+    for (const std::uint64_t w : out) fnv.Mix(w);
+  }
+  return fnv.value();
 }
 
 // Independent noise: every party receives its own word, so views diverge
@@ -105,6 +130,25 @@ TEST(Golden, HierarchicalIndependentViewsArePinned) {
   EXPECT_EQ(result.verdict.first_divergent_phase, "owner-finding");
   EXPECT_EQ(result.verdict.first_divergence_round, 14752);
   EXPECT_EQ(DigestViews(result), 0xdb22e3332c939f01ULL);
+}
+
+// Transcript-adaptive random parties (the service's `random` task shape:
+// T = 4n, density 0.1) under per-party noise.  Every beep hashes the
+// party's own received prefix, so this pins the prefix digest, the
+// repetition scheme and the independent channel's per-party streams.
+TEST(Golden, RandomAdaptiveRepetitionIsPinned) {
+  Rng rng(32);
+  const RandomProtocolSpec spec =
+      SampleRandomProtocol(32, 4 * 32, 0.1, /*adaptive=*/true, rng);
+  const auto protocol = MakeRandomProtocol(spec);
+  const IndependentNoisyChannel channel(0.05);
+  const RepetitionSimulator sim;
+  const SimulationResult result = sim.Simulate(*protocol, channel, rng);
+  const BitString reference = ReferenceTranscript(*protocol);
+  EXPECT_TRUE(result.AllMatch(reference));
+  EXPECT_EQ(result.noisy_rounds_used, 2688);
+  EXPECT_EQ(TranscriptDigest(reference), 0xecf787e3d474b3caULL);
+  EXPECT_EQ(DigestTranscriptsAndOutputs(result), 0x73a39bf786ce2065ULL);
 }
 
 TEST(Golden, TraceCsvRoundTrips) {
