@@ -1,6 +1,7 @@
 #include "channel/channel.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "util/require.h"
@@ -15,18 +16,28 @@ void FillSharedWords(std::span<std::uint64_t> words, std::int64_t n,
   words.back() &= TailWordMask(n);
 }
 
+// Byte lanes are loaded little-endian: lane k is the k-th byte in memory.
+static_assert(std::endian::native == std::endian::little,
+              "byte-lane packing assumes a little-endian host");
+
 void PackBits(std::span<const std::uint8_t> bytes,
               std::span<std::uint64_t> words) {
   NB_REQUIRE(words.size() ==
                  WordsForParties(static_cast<std::int64_t>(bytes.size())),
              "word span does not match the byte span's party count");
+  // Multiplying 0/1 byte lanes by this constant moves lane k's bit to bit
+  // 56 + k; every partial product lands on a distinct bit, so nothing
+  // carries into the top byte.
+  constexpr std::uint64_t kGather = 0x0102040810204080ULL;
   for (std::size_t w = 0; w < words.size(); ++w) {
     const std::size_t base = w * 64;
     const std::size_t lanes = std::min<std::size_t>(64, bytes.size() - base);
     std::uint64_t word = 0;
-    for (std::size_t b = 0; b < lanes; ++b) {
-      word |= static_cast<std::uint64_t>(bytes[base + b] != 0) << b;
-    }
+    ForEachByteLanes(bytes.subspan(base, lanes),
+                     [&word](std::size_t g, std::uint64_t group) {
+                       word |= ((NonzeroByteLanes(group) * kGather) >> 56)
+                               << (8 * g);
+                     });
     words[w] = word;
   }
 }
@@ -38,6 +49,20 @@ void UnpackBits(std::span<const std::uint64_t> words,
              "word span does not match the byte span's party count");
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     bytes[i] = static_cast<std::uint8_t>((words[i / 64] >> (i % 64)) & 1u);
+  }
+}
+
+void Transpose64(std::span<std::uint64_t, 64> rows) {
+  // Round j swaps, in every 2j x 2j block, the top-right j x j block
+  // (rows k, columns j..2j-1) with the bottom-left one (rows k + j,
+  // columns 0..j-1); `mask` selects the low j columns of each 2j group.
+  std::uint64_t mask = 0x00000000ffffffffULL;
+  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (std::size_t k = 0; k < 64; k = (k + j + 1) & ~j) {
+      const std::uint64_t swap = ((rows[k] >> j) ^ rows[k + j]) & mask;
+      rows[k] ^= swap << j;
+      rows[k + j] ^= swap;
+    }
   }
 }
 

@@ -75,11 +75,50 @@ void FillSharedWords(std::span<std::uint64_t> words, std::int64_t n,
                      bool bit);
 
 // Packs one byte per listener into words (tail bits zeroed) and back.
+// A byte packs to 1 iff it is nonzero, 8 listeners per u64 operation (see
+// the byte-lane helpers below); unpacking yields 0/1 bytes.
 // Preconditions: words.size() == WordsForParties(bytes.size()).
 void PackBits(std::span<const std::uint8_t> bytes,
               std::span<std::uint64_t> words);
 void UnpackBits(std::span<const std::uint64_t> words,
                 std::span<std::uint8_t> bytes);
+
+// --- byte lanes: 8 one-byte listener slots per u64 --------------------
+//
+// Byte k of a lane word is slot k (little-endian load order), so the
+// scalar byte-per-listener round can be counted, tallied and packed 8
+// slots per operation without touching the bytes' meaning.
+
+// Calls visit(g, lanes) for every group g of 8 consecutive bytes, in
+// order, with lanes holding bytes[8g, 8g + 8); a partial last group's
+// missing lanes are 0.  Full groups load with a fixed-size copy (one
+// instruction); only the tail pays a variable-length one.
+template <typename Visit>
+void ForEachByteLanes(std::span<const std::uint8_t> bytes, Visit&& visit) {
+  const std::size_t full = bytes.size() / 8;
+  for (std::size_t g = 0; g < full; ++g) {
+    std::uint64_t lanes = 0;
+    std::memcpy(&lanes, bytes.data() + 8 * g, 8);
+    visit(g, lanes);
+  }
+  if (const std::size_t tail = bytes.size() % 8; tail != 0) {
+    std::uint64_t lanes = 0;
+    std::memcpy(&lanes, bytes.data() + 8 * full, tail);
+    visit(full, lanes);
+  }
+}
+
+// 0x01 in every byte lane of `lanes` that is nonzero, 0x00 elsewhere:
+// adding 0x7f to a lane's low 7 bits carries into its bit 7 iff they are
+// nonzero (never out of the lane), and OR-ing the lane keeps its own bit 7.
+[[nodiscard]] constexpr std::uint64_t NonzeroByteLanes(std::uint64_t lanes) {
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  return ((((lanes & kLow7) + kLow7) | lanes) >> 7) & 0x0101010101010101ULL;
+}
+
+// Transposes a 64x64 bit matrix in place: bit c of rows[r] moves to bit r
+// of rows[c].  Six rounds of block swaps (32x32 down to 1x1 blocks).
+void Transpose64(std::span<std::uint64_t, 64> rows);
 
 class Channel {
  public:

@@ -1,6 +1,7 @@
 #include "channel/independent.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/format.h"
 #include "util/require.h"
@@ -20,11 +21,8 @@ void IndependentNoisyChannel::Deliver(std::int64_t num_beepers,
                                       std::span<std::uint8_t> received,
                                       Rng& rng) const {
   // One draw per listener, in listener order (the stream contract); the
-  // precomputed sampler turns each draw into a single integer compare.
-  const std::uint8_t or_bit = num_beepers > 0 ? 1 : 0;
-  for (auto& bit : received) {
-    bit = or_bit ^ static_cast<std::uint8_t>(noise_.Sample(rng));
-  }
+  // precomputed threshold turns each draw into a single integer compare.
+  rng.FillBernoulli(received, noise_.threshold(), num_beepers > 0 ? 1 : 0);
 }
 
 void IndependentNoisyChannel::DeliverWords(std::int64_t num_beepers,
@@ -35,20 +33,17 @@ void IndependentNoisyChannel::DeliverWords(std::int64_t num_beepers,
   const bool or_bit = num_beepers > 0;
 
   if (mode == WordMode::kStreamCompat) {
-    // Draw-for-draw replay of the scalar path: one Sample per listener in
-    // listener order, packed as we go.  Same seed => same bits and the
-    // same number of NextU64 calls as Deliver.
+    // Draw-for-draw replay of the scalar path: the same fill, one word's
+    // listeners at a time, packed as we go.  Same seed => same bits and
+    // the same number of NextU64 calls as Deliver.
+    std::array<std::uint8_t, kWordBits> bytes{};
     for (std::size_t w = 0; w < received.size(); ++w) {
       const std::int64_t base = static_cast<std::int64_t>(w) * kWordBits;
-      const std::int64_t lanes = std::min(kWordBits, num_parties - base);
-      std::uint64_t noise = 0;
-      for (std::int64_t b = 0; b < lanes; ++b) {
-        noise |= static_cast<std::uint64_t>(noise_.Sample(rng)) << b;
-      }
-      const std::uint64_t lane_mask =
-          lanes == kWordBits ? ~std::uint64_t{0}
-                             : (std::uint64_t{1} << lanes) - 1;
-      received[w] = or_bit ? (~noise & lane_mask) : noise;
+      const std::span<std::uint8_t> lanes(
+          bytes.data(),
+          static_cast<std::size_t>(std::min(kWordBits, num_parties - base)));
+      rng.FillBernoulli(lanes, noise_.threshold(), or_bit ? 1 : 0);
+      PackBits(lanes, received.subspan(w, 1));
     }
     return;
   }

@@ -42,11 +42,7 @@ ChunkAttempt SimulateChunk(const Protocol& protocol,
       beeps[i] = b ? 1 : 0;
       attempt.beeped[i].PushBack(b);
     }
-    std::fill(ones.begin(), ones.end(), 0);
-    for (int t = 0; t < rep_factor; ++t) {
-      const auto received = engine.Round(beeps);
-      for (int i = 0; i < n; ++i) ones[i] += received[i];
-    }
+    TallyRounds(engine, beeps, rep_factor, ones);
     for (int i = 0; i < n; ++i) {
       const bool bit = 2 * ones[i] >= static_cast<std::size_t>(rep_factor);
       attempt.candidate[i].PushBack(bit);

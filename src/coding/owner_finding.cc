@@ -1,6 +1,7 @@
 #include "coding/owner_finding.h"
 
 #include <algorithm>
+#include <array>
 #include <span>
 #include <utility>
 
@@ -57,10 +58,16 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
   const CodebookCode& book = code.codebook();
   const std::size_t word_len = code.codeword_length();
   const std::size_t stride = book.words_per_codeword();
+  const std::size_t party_words = WordsForParties(n);
   const int iterations = static_cast<int>(chunk_len) + n;
   std::vector<std::uint8_t> beeps(n, 0);
   // Party i's received word, packed: received[i * stride, (i+1) * stride).
   std::vector<std::uint64_t> received(static_cast<std::size_t>(n) * stride);
+  // Up to 64 rounds of received bits, round-major: row r holds the r-th
+  // round of the current codeword word, packed by party.  Each 64-party
+  // column of it is one 64x64 tile, transposed into the parties' words.
+  std::vector<std::uint64_t> rounds(kWordBits * party_words);
+  std::array<std::uint64_t, kWordBits> tile{};
   // The parties transmitting this iteration, with their packed codewords.
   std::vector<std::pair<int, std::span<const std::uint64_t>>> speakers;
 
@@ -78,36 +85,51 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
                    NextMessage(i, state[i], pi_view[i], beeped[i], code)));
       }
     }
-    std::fill(received.begin(), received.end(), 0);
-    for (std::size_t t = 0; t < word_len; ++t) {
-      const std::size_t wi = t / BitString::kWordBits;
-      const std::uint64_t bit = std::uint64_t{1} << (t % BitString::kWordBits);
-      for (const auto& [i, word] : speakers) {
-        beeps[i] = (word[wi] & bit) != 0 ? 1 : 0;
+    for (std::size_t wi = 0; wi < stride; ++wi) {
+      const std::size_t rows =
+          std::min<std::size_t>(kWordBits, word_len - wi * kWordBits);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (const auto& [i, word] : speakers) {
+          beeps[i] = static_cast<std::uint8_t>((word[wi] >> r) & 1u);
+        }
+        PackBits(engine.Round(beeps),
+                 std::span(rounds).subspan(r * party_words, party_words));
       }
-      const auto round_bits = engine.Round(beeps);
-      std::uint64_t* column = received.data() + wi;
-      for (int i = 0; i < n; ++i) {
-        if (round_bits[i] != 0) column[i * stride] |= bit;
+      for (std::size_t pw = 0; pw < party_words; ++pw) {
+        for (std::size_t r = 0; r < kWordBits; ++r) {
+          tile[r] = r < rows ? rounds[r * party_words + pw] : 0;
+        }
+        Transpose64(tile);
+        const std::size_t first = pw * kWordBits;
+        const std::size_t lanes = std::min<std::size_t>(
+            kWordBits, static_cast<std::size_t>(n) - first);
+        for (std::size_t p = 0; p < lanes; ++p) {
+          received[(first + p) * stride + wi] = tile[p];
+        }
       }
     }
     for (const auto& speaker : speakers) beeps[speaker.first] = 0;
     // Decoding + state update, per party, from that party's received bits.
-    // The previous party's decode is only a starting guess for the exact
-    // decoder (see CodebookCode::Decode): it saves the scan when both
-    // received words lie near the same codeword and never changes the
-    // decoded value, so no party's state depends on another's.
-    std::uint64_t candidate = code.next_token();
+    // The previous decode is only a starting guess for the exact decoder
+    // (see CodebookCode::Decode): it saves the scan when both received
+    // words lie near the same codeword and never changes the decoded
+    // value.  A word equal to the previously decoded one reuses its decode
+    // outright -- decoding is a pure function of the word -- so no party's
+    // state depends on another's, and a shared view costs one decode.
+    std::uint64_t sigma = code.next_token();
+    const std::uint64_t* decoded_word = nullptr;
     for (int i = 0; i < n; ++i) {
       // Once this party's turn counter has run past the last party (only
       // possible after decoding errors), every remaining iteration carries
       // no usable information for it: ignore locally rather than record
       // claims by a non-existent party.
       if (state[i].turn >= n) continue;
-      const std::uint64_t sigma = book.Decode(
-          std::span<const std::uint64_t>(&received[i * stride], stride),
-          candidate);
-      candidate = sigma;
+      const std::span<const std::uint64_t> word(&received[i * stride], stride);
+      if (decoded_word == nullptr ||
+          !std::equal(word.begin(), word.end(), decoded_word)) {
+        sigma = book.Decode(word, sigma);
+        decoded_word = word.data();
+      }
       if (sigma == code.next_token()) {
         ++state[i].turn;
       } else {

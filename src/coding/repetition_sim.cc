@@ -42,11 +42,7 @@ SimulationResult RepetitionSimulator::Simulate(const Protocol& protocol,
     for (int i = 0; i < n; ++i) {
       beeps[i] = protocol.party(i).ChooseBeep(result.transcripts[i]) ? 1 : 0;
     }
-    std::fill(ones.begin(), ones.end(), 0);
-    for (int t = 0; t < reps; ++t) {
-      const auto received = engine.Round(beeps);
-      for (int i = 0; i < n; ++i) ones[i] += received[i];
-    }
+    TallyRounds(engine, beeps, reps, ones);
     for (int i = 0; i < n; ++i) {
       decoded[i] = 2 * ones[i] >= static_cast<std::size_t>(reps) ? 1 : 0;
       result.transcripts[i].PushBack(decoded[i] != 0);

@@ -1,5 +1,7 @@
 #include "coding/verification.h"
 
+#include <algorithm>
+
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -15,20 +17,21 @@ std::size_t FirstViolation(const Protocol& protocol, int party_index,
                "two-sided verification needs an owner per round");
   }
   const Party& party = protocol.party(party_index);
-  BitString prefix;
-  for (std::size_t m = 0; m < transcript.size(); ++m) {
-    const bool beeped = m < from ? false : party.ChooseBeep(prefix);
-    if (m >= from) {
-      if (!transcript[m]) {
-        // A 0 claims nobody beeped; this party knows better if it beeped 1.
-        if (beeped) return m;
-      } else if (regime == NoiseRegime::kTwoSided) {
-        const int owner = owners[m];
-        if (owner < 0) return m;  // unowned 1: anyone may flag
-        if (owner == party_index && !beeped) return m;  // my 1, but I didn't
-      }
-      // In kDownOnly a received 1 is self-certifying: nothing to check.
+  // Rounds before `from` are not checked: start from a word-wise copy of
+  // their bits instead of re-appending them one by one.
+  BitString prefix = transcript.Prefix(std::min(from, transcript.size()));
+  prefix.Reserve(transcript.size());
+  for (std::size_t m = prefix.size(); m < transcript.size(); ++m) {
+    const bool beeped = party.ChooseBeep(prefix);
+    if (!transcript[m]) {
+      // A 0 claims nobody beeped; this party knows better if it beeped 1.
+      if (beeped) return m;
+    } else if (regime == NoiseRegime::kTwoSided) {
+      const int owner = owners[m];
+      if (owner < 0) return m;  // unowned 1: anyone may flag
+      if (owner == party_index && !beeped) return m;  // my 1, but I didn't
     }
+    // In kDownOnly a received 1 is self-certifying: nothing to check.
     prefix.PushBack(transcript[m]);
   }
   return transcript.size();
@@ -41,10 +44,7 @@ std::vector<std::uint8_t> CommunicateFlags(RoundEngine& engine,
   NB_REQUIRE(static_cast<int>(flags.size()) == n, "one flag per party");
   NB_REQUIRE(reps >= 1, "flag repetitions must be positive");
   std::vector<std::size_t> ones(n, 0);
-  for (int t = 0; t < reps; ++t) {
-    const auto received = engine.Round(flags);
-    for (int i = 0; i < n; ++i) ones[i] += received[i];
-  }
+  TallyRounds(engine, flags, reps, ones);
   std::vector<std::uint8_t> verdict(n, 0);
   for (int i = 0; i < n; ++i) {
     const bool raised = rule == FlagRule::kMajority

@@ -43,12 +43,13 @@ enum class FlagRule {
 
 // The first round index m in [from, transcript.size()) at which party
 // `party_index` detects an inconsistency per the rules above, or
-// transcript.size() if it detects none.  Rounds before `from` are replayed
-// (they set the context for f_m^i) but not checked -- a flat rewind scheme
-// cannot revisit rounds it already committed.  `owners[m]` is the party's
+// transcript.size() if it detects none.  Rounds before `from` set the
+// context for f_m^i (they are the prefix the beep function reads, copied
+// word-wise) but are not checked -- a flat rewind scheme cannot revisit
+// rounds it already committed.  `owners[m]` is the party's
 // owner record for round m (-1 = none); required (same size as transcript)
 // in regime kTwoSided, ignored in kDownOnly.  Replays the party's pure
-// beep function along the transcript, so cost is one pass.
+// beep function along rounds [from, transcript.size()).
 [[nodiscard]] std::size_t FirstViolation(const Protocol& protocol,
                                          int party_index,
                                          const BitString& transcript,

@@ -1,6 +1,8 @@
 #include "protocol/round_engine.h"
 
+#include <algorithm>
 #include <bit>
+#include <vector>
 
 #include "util/require.h"
 
@@ -20,8 +22,14 @@ std::span<const std::uint8_t> RoundEngine::Round(
   NB_REQUIRE(static_cast<std::int64_t>(beeps.size()) == num_parties_,
              "beeps vector has wrong size");
   if (received_.size() != beeps.size()) received_.assign(beeps.size(), 0);
+  // Beepers counted 8 slots per u64: the 0/1 lanes' sum lands in the top
+  // byte of the product (at most 8, so it cannot carry out).
+  constexpr std::uint64_t kSumLanes = 0x0101010101010101ULL;
   std::int64_t num_beepers = 0;
-  for (std::uint8_t b : beeps) num_beepers += b != 0;
+  ForEachByteLanes(beeps, [&num_beepers](std::size_t, std::uint64_t lanes) {
+    num_beepers += static_cast<std::int64_t>(
+        (NonzeroByteLanes(lanes) * kSumLanes) >> 56);
+  });
   channel_->Deliver(num_beepers, received_, *rng_);
   AccountRound();
   return received_;
@@ -42,6 +50,33 @@ std::span<const std::uint64_t> RoundEngine::RoundWords(
                          word_mode_, *rng_);
   AccountRound();
   return received_words_;
+}
+
+void TallyRounds(RoundEngine& engine, std::span<const std::uint8_t> beeps,
+                 int reps, std::span<std::size_t> ones) {
+  NB_REQUIRE(static_cast<std::int64_t>(ones.size()) == engine.num_parties(),
+             "one tally slot per party");
+  NB_REQUIRE(reps >= 0, "repetition count must be non-negative");
+  // Byte counters, 8 parties per u64: each round adds a 0/1 lane word, so
+  // a counter reaches at most kMaxRounds before it is flushed and reset.
+  constexpr int kMaxRounds = 255;
+  const std::size_t n = ones.size();
+  std::vector<std::uint64_t> counters((n + 7) / 8);
+  std::fill(ones.begin(), ones.end(), 0);
+  for (int done = 0; done < reps;) {
+    const int block = std::min(reps - done, kMaxRounds);
+    std::fill(counters.begin(), counters.end(), 0);
+    for (int t = 0; t < block; ++t) {
+      ForEachByteLanes(engine.Round(beeps),
+                       [&counters](std::size_t g, std::uint64_t lanes) {
+                         counters[g] += NonzeroByteLanes(lanes);
+                       });
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ones[i] += (counters[i / 8] >> (8 * (i % 8))) & 0xff;
+    }
+    done += block;
+  }
 }
 
 bool RoundEngine::RoundShared(std::span<const std::uint8_t> beeps) {

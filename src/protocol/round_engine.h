@@ -128,6 +128,18 @@ class RoundEngine {
   std::int64_t* phase_counter_ = nullptr;
 };
 
+// Runs `reps` noisy rounds in which every party sends beeps[i], and sets
+// ones[i] to the number of those rounds in which party i received a 1 (a
+// nonzero byte):
+// the repetition tally the schemes decode by majority or OR.  Rounds go
+// through engine.Round one at a time, so the channel stream and the phase
+// accounting are exactly those of a plain `reps`-round loop; the tally
+// runs 8 parties per u64 add.
+// Preconditions: beeps.size() == ones.size() == engine.num_parties(),
+// reps >= 0.
+void TallyRounds(RoundEngine& engine, std::span<const std::uint8_t> beeps,
+                 int reps, std::span<std::size_t> ones);
+
 }  // namespace noisybeeps
 
 #endif  // NOISYBEEPS_PROTOCOL_ROUND_ENGINE_H_

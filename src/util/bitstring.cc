@@ -60,8 +60,12 @@ void BitString::Truncate(std::size_t new_size) {
 
 BitString BitString::Prefix(std::size_t count) const {
   NB_REQUIRE(count <= size_, "prefix longer than string");
-  BitString out = *this;
-  out.Truncate(count);
+  BitString out;
+  out.words_.assign(words_.begin(),
+                    words_.begin() + static_cast<std::ptrdiff_t>(
+                                         WordCount(count)));
+  out.size_ = count;
+  out.ClearSlack();
   return out;
 }
 

@@ -16,6 +16,21 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
+// One xoshiro256** step by Blackman & Vigna (public domain reference
+// algorithm) on a state held wherever the caller keeps it.
+inline std::uint64_t XoshiroStep(std::uint64_t& s0, std::uint64_t& s1,
+                                 std::uint64_t& s2, std::uint64_t& s3) {
+  const std::uint64_t result = std::rotl(s1 * 5, 7) * 9;
+  const std::uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = std::rotl(s3, 45);
+  return result;
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -24,16 +39,20 @@ Rng::Rng(std::uint64_t seed) {
 }
 
 std::uint64_t Rng::NextU64() {
-  // xoshiro256** by Blackman & Vigna (public domain reference algorithm).
-  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
+  return XoshiroStep(state_[0], state_[1], state_[2], state_[3]);
+}
+
+void Rng::FillBernoulli(std::span<std::uint8_t> out, std::uint64_t threshold,
+                        std::uint8_t base) {
+  std::uint64_t s0 = state_[0];
+  std::uint64_t s1 = state_[1];
+  std::uint64_t s2 = state_[2];
+  std::uint64_t s3 = state_[3];
+  for (std::uint8_t& bit : out) {
+    const bool below = (XoshiroStep(s0, s1, s2, s3) >> 11) < threshold;
+    bit = base ^ static_cast<std::uint8_t>(below);
+  }
+  state_ = {s0, s1, s2, s3};
 }
 
 std::uint64_t Rng::UniformInt(std::uint64_t bound) {

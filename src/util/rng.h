@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace noisybeeps {
 
@@ -37,6 +38,16 @@ class Rng {
 
   // Uniform random bit.
   bool Bit() { return (NextU64() >> 63) != 0; }
+
+  // Fills out[i] = base ^ ((NextU64() >> 11) < threshold), in index order:
+  // for threshold = BernoulliThreshold(p), draw-for-draw the loop
+  // `out[i] = base ^ BernoulliSampler(p).Sample(*this)`, so the bits and
+  // the generator state afterwards are identical.  The state lives in
+  // registers for the whole span instead of being reloaded around every
+  // byte store (a byte store may alias it).  This is the per-listener
+  // noise loop of the independent channel.
+  void FillBernoulli(std::span<std::uint8_t> out, std::uint64_t threshold,
+                     std::uint8_t base);
 
   // Derives an independent generator.  The child stream is decorrelated
   // from the parent's subsequent output (distinct SplitMix64 seed chain).

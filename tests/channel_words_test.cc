@@ -15,6 +15,7 @@
 //      count is pinned to exactly one NextU64 per listener.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -367,6 +368,99 @@ TEST(ChannelWords, PackUnpackRoundTrip) {
   std::vector<std::uint8_t> back(static_cast<std::size_t>(n), 0);
   UnpackBits(words, back);
   EXPECT_EQ(back, bytes);
+}
+
+// PackBits/UnpackBits run 8 listeners per u64 operation; hold them to
+// the plain per-byte loops at every lane boundary, on bytes other than
+// 0/1 (a nonzero byte is a beep).
+TEST(ChannelWords, PackUnpackMatchPlainLoops) {
+  const std::vector<std::uint8_t> odd_bytes{0x80, 0xff, 0x7f, 0x02, 0x01,
+                                            0x40, 0x81, 0xfe};
+  Rng rng(kSeed);
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 200u}) {
+    // The last byte is 0x80: a lane's high bit alone marks it a beep.
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      bytes.push_back(
+          rng.Bit() ? odd_bytes[rng.UniformInt(odd_bytes.size())] : 0);
+    }
+    bytes.push_back(0x80);
+    std::vector<std::uint64_t> words(WordsForParties(
+                                         static_cast<std::int64_t>(n)),
+                                     ~std::uint64_t{0});
+    PackBits(bytes, words);
+    std::vector<std::uint64_t> expected(words.size(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      expected[i / 64] |= static_cast<std::uint64_t>(bytes[i] != 0)
+                          << (i % 64);
+    }
+    EXPECT_EQ(words, expected) << "n=" << n;
+
+    // Unpacking a word with dirty tail bits writes only the n bytes.
+    std::vector<std::uint64_t> dirty(words.size(), 0);
+    for (std::uint64_t& w : dirty) w = rng.NextU64();
+    std::vector<std::uint8_t> back(n + 3, 0x55);
+    UnpackBits(dirty, std::span(back).first(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(back[i], (dirty[i / 64] >> (i % 64)) & 1u)
+          << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(back[n], 0x55);
+    EXPECT_EQ(back[n + 2], 0x55);
+  }
+}
+
+TEST(ChannelWords, Transpose64MatchesNaiveTranspose) {
+  Rng rng(kSeed);
+  std::array<std::uint64_t, 64> rows{};
+  for (int trial = 0; trial < 8; ++trial) {
+    for (std::size_t r = 0; r < 64; ++r) {
+      // Dense, sparse and single-bit rows.
+      rows[r] = trial == 0 ? std::uint64_t{1} << ((r * 7) % 64)
+                : trial % 2 == 0 ? rng.NextU64() & rng.NextU64()
+                                 : rng.NextU64();
+    }
+    std::array<std::uint64_t, 64> expected{};
+    for (std::size_t r = 0; r < 64; ++r) {
+      for (std::size_t c = 0; c < 64; ++c) {
+        expected[c] |= ((rows[r] >> c) & 1u) << r;
+      }
+    }
+    Transpose64(rows);
+    EXPECT_EQ(rows, expected) << "trial " << trial;
+  }
+}
+
+// TallyRounds counts 8 parties per u64 in byte counters flushed every
+// 255 rounds; it must equal the plain loop of Rounds and per-party adds,
+// including the generator state, at every flush boundary.
+TEST(ChannelWords, TallyRoundsMatchesPlainLoop) {
+  for (const double eps : {0.0, 0.3}) {
+    const IndependentNoisyChannel channel(eps);
+    for (const std::size_t n : {1u, 9u, 100u}) {
+      for (const int reps : {1, 254, 255, 256, 511}) {
+        std::vector<std::uint8_t> beeps(n, 0);
+        beeps[n / 2] = 3;  // every party hears the OR (noise aside)
+        Rng tally_rng(kSeed);
+        Rng plain_rng(kSeed);
+        RoundEngine tally_engine(channel, tally_rng,
+                                 static_cast<std::int64_t>(n));
+        RoundEngine plain_engine(channel, plain_rng,
+                                 static_cast<std::int64_t>(n));
+        std::vector<std::size_t> ones(n, 7);
+        TallyRounds(tally_engine, beeps, reps, ones);
+        std::vector<std::size_t> expected(n, 0);
+        for (int t = 0; t < reps; ++t) {
+          const auto received = plain_engine.Round(beeps);
+          for (std::size_t i = 0; i < n; ++i) expected[i] += received[i];
+        }
+        EXPECT_EQ(ones, expected) << "eps=" << eps << " n=" << n
+                                  << " reps=" << reps;
+        EXPECT_EQ(tally_rng.SaveState(), plain_rng.SaveState());
+        EXPECT_EQ(tally_engine.rounds_used(), reps);
+      }
+    }
+  }
 }
 
 TEST(ChannelWords, DeliverWordsValidatesItsPreconditions) {

@@ -6,7 +6,9 @@
 // pinned values and re-run the benchmarks to refresh EXPERIMENTS.md.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "channel/correlated.h"
 #include "channel/independent.h"
@@ -14,6 +16,7 @@
 #include "coding/hierarchical_sim.h"
 #include "coding/repetition_sim.h"
 #include "coding/rewind_sim.h"
+#include "fault/fault_plan.h"
 #include "protocol/executor.h"
 #include "tasks/bit_exchange.h"
 #include "tasks/input_set.h"
@@ -149,6 +152,28 @@ TEST(Golden, RandomAdaptiveRepetitionIsPinned) {
   EXPECT_EQ(result.noisy_rounds_used, 2688);
   EXPECT_EQ(TranscriptDigest(reference), 0xecf787e3d474b3caULL);
   EXPECT_EQ(DigestTranscriptsAndOutputs(result), 0x73a39bf786ce2065ULL);
+}
+
+// An odd party count (n = 100: one full and one partial 64-party lane)
+// with faults on both sides of the round boundary.  Pins the scheme's
+// packed per-round paths where a word is only partly filled: the beeper
+// count, the owner-finding codeword blocks and the repetition tallies.
+TEST(Golden, RewindIndependentOddPartiesWithFaultsIsPinned) {
+  Rng rng(100);
+  const InputSetInstance instance = SampleInputSet(100, rng);
+  const auto protocol = MakeInputSetProtocol(instance);
+  const IndependentNoisyChannel channel(0.05);
+  FaultPlan faults(/*seed=*/5);
+  faults.DeafReceiver(37, 200, 5000).Babbler(70, 1000, 3000, 0.3);
+  const RewindSimulator sim;
+  const SimulationResult result = sim.Simulate(*protocol, channel, faults, rng);
+  EXPECT_EQ(result.noisy_rounds_used, 35508);
+  EXPECT_EQ(result.phase_rounds,
+            (std::map<std::string, std::int64_t>{{"chunk-sim", 6600},
+                                                 {"owner-finding", 28800},
+                                                 {"verify-flags", 108}}));
+  EXPECT_EQ(result.verdict.status, SimulationStatus::kOk);
+  EXPECT_EQ(DigestViews(result), 0x56b2ca55124bd2cdULL);
 }
 
 TEST(Golden, TraceCsvRoundTrips) {

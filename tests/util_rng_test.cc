@@ -219,6 +219,51 @@ TEST(Rng, BernoulliSamplerIsBitIdenticalToBernoulli) {
   }
 }
 
+// FillBernoulli is the per-listener noise loop: it must be, draw for
+// draw, `out[i] = base ^ sampler.Sample(rng)` -- the same bits and the
+// same generator state afterwards.
+TEST(Rng, FillBernoulliMatchesTheSampleLoop) {
+  for (const double p : {0.0, 0.05, 0.3, 0.5, 1.0}) {
+    const BernoulliSampler sampler(p);
+    for (const std::size_t size : {0u, 1u, 7u, 64u, 200u}) {
+      for (const std::uint8_t base : {0, 1}) {
+        Rng filled(99);
+        Rng sampled(99);
+        std::vector<std::uint8_t> out(size, 0xaa);
+        filled.FillBernoulli(out, sampler.threshold(), base);
+        std::vector<std::uint8_t> expected(size, 0);
+        for (std::uint8_t& bit : expected) {
+          bit = base ^ static_cast<std::uint8_t>(sampler.Sample(sampled));
+        }
+        EXPECT_EQ(out, expected) << "p=" << p << " size=" << size;
+        EXPECT_EQ(filled.SaveState(), sampled.SaveState())
+            << "p=" << p << " size=" << size;
+      }
+    }
+  }
+}
+
+TEST(Rng, FillBernoulliEdgeCases) {
+  // The empty span draws nothing.
+  Rng rng(5);
+  const auto before = rng.SaveState();
+  rng.FillBernoulli({}, BernoulliThreshold(0.5), 1);
+  EXPECT_EQ(rng.SaveState(), before);
+  // p = 0 and p = 1 still draw once per slot (the stream contract), and
+  // yield base and !base.
+  std::vector<std::uint8_t> out(9, 0);
+  Rng never(5);
+  never.FillBernoulli(out, BernoulliThreshold(0.0), 1);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(9, 1));
+  Rng always(5);
+  always.FillBernoulli(out, BernoulliThreshold(1.0), 1);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(9, 0));
+  Rng reference(5);
+  for (int i = 0; i < 9; ++i) (void)reference.NextU64();
+  EXPECT_EQ(never.SaveState(), reference.SaveState());
+  EXPECT_EQ(always.SaveState(), reference.SaveState());
+}
+
 TEST(Rng, BernoulliThresholdEndpoints) {
   EXPECT_EQ(BernoulliThreshold(0.0), 0u);
   EXPECT_EQ(BernoulliThreshold(1.0), 1ULL << 53);
