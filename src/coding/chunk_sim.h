@@ -10,8 +10,11 @@
 // protocol records an owner for every 1 of the candidate chunk -- see
 // coding/owner_finding.h.
 //
-// The result is per-party: a candidate transcript extension, the bits the
-// party itself beeped, and the owner map.  Whether the candidate is
+// The schemes run both phases on views (coding/view_set.h): parties that
+// decoded the same chunk bits share one transcript and one owner map, and
+// each party keeps only the bits it beeped.  SimulateChunk is the
+// per-party form: a candidate transcript extension, the bits the party
+// itself beeped, and the owner map.  Whether the candidate is
 // CORRECT is decided afterwards by the verification phase
 // (coding/verification.h); the rewind schemes stitch these pieces together.
 #ifndef NOISYBEEPS_CODING_CHUNK_SIM_H_

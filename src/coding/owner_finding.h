@@ -17,6 +17,12 @@
 // turn-holder.  Under a correlated channel all parties decode identical
 // words, so their turn counters and owner maps never diverge; Theorem D.1
 // bounds the failure probability by n^-10 for suitable code length.
+//
+// The turn counter, the claimed rounds and the owner map are functions of
+// the decoded words alone, so they are kept once per view
+// (coding/view_set.h): a codeword that every party received identically
+// is decoded once and updates each view once, and a view splits only
+// when its members decode different messages.
 #ifndef NOISYBEEPS_CODING_OWNER_FINDING_H_
 #define NOISYBEEPS_CODING_OWNER_FINDING_H_
 

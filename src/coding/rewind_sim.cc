@@ -9,10 +9,6 @@
 
 namespace noisybeeps {
 
-using internal::AllFirstViolations;
-using internal::AppendAttempt;
-using internal::CommitState;
-
 RewindSimulator::RewindSimulator(RewindSimOptions options)
     : options_(options) {
   NB_REQUIRE(options_.chunk_len >= 0 && options_.rep_factor >= 0 &&
@@ -66,13 +62,11 @@ SimulationResult RewindSimulator::Simulate(const Protocol& protocol,
   }
 
   FaultyRoundEngine engine(channel, rng, n, faults);
-  CommitState state(n);
+  internal::ViewSet views(n);
   internal::DivergenceTracker tracker;
-  // Beep codes are deterministic functions of (chunk length, seed): part
-  // of the protocol description, shared by all parties.
   std::map<int, BeepCode> codes;
+  std::int64_t disagreements = 0;
 
-  SimulationResult result;
   int start = 0;
   bool exhausted = false;
   while (start < T) {
@@ -81,71 +75,14 @@ SimulationResult RewindSimulator::Simulate(const Protocol& protocol,
       break;
     }
     const int chunk_len = std::min(base_chunk, T - start);
-
-    // With a pre-assigned owner schedule there is nothing to find; the
-    // owner-finding phase (and its beep code) is skipped entirely.
-    const BeepCode* code = nullptr;
-    if (options_.regime == NoiseRegime::kTwoSided && !options_.scheduled()) {
-      auto it = codes.find(chunk_len);
-      if (it == codes.end()) {
-        it = codes
-                 .emplace(chunk_len,
-                          BeepCode(chunk_len, options_.code_length_factor,
-                                   options_.code_seed + chunk_len))
-                 .first;
-      }
-      code = &it->second;
-    }
-
-    ChunkAttempt attempt = SimulateChunk(
-        protocol, state.committed, start, chunk_len, rep_factor, code, engine);
-    if (options_.scheduled()) {
-      internal::InjectScheduleOwners(attempt, options_.owner_schedule, start);
-    }
-    tracker.Observe(attempt.candidate, "chunk-sim", engine.rounds_used());
-    if (code != nullptr) {
-      tracker.Observe(attempt.owners, "owner-finding", engine.rounds_used());
-    }
-
-    // Verification: each party checks the candidate extension against its
-    // own beeps (and its owned 1s), then the flags are OR'd noisily.
-    CommitState trial = state;
-    AppendAttempt(trial, attempt);
-    const std::vector<std::size_t> first_violation = AllFirstViolations(
-        protocol, trial, static_cast<std::size_t>(start), options_.regime);
-    std::vector<std::uint8_t> flags(n, 0);
-    for (int i = 0; i < n; ++i) {
-      flags[i] =
-          first_violation[i] < trial.committed[i].size() ? 1 : 0;
-    }
-    engine.SetPhase("verify-flags");
-    const std::vector<std::uint8_t> verdict =
-        CommunicateFlags(engine, flags, flag_reps, options_.flag_rule);
-    tracker.Observe(verdict, "verify-flags", engine.rounds_used());
-
-    // Commit/rewind follows party 0's verdict (see sim_common.h on
-    // control-flow synchronization).
-    if (verdict[0] == 0) {
-      state = std::move(trial);
+    if (internal::AttemptChunk(protocol, options_, start, chunk_len,
+                               rep_factor, flag_reps, codes, views, engine,
+                               tracker, disagreements)) {
       start += chunk_len;
     }
   }
-
-  result.transcripts = std::move(state.committed);
-  result.owners = std::move(state.owners);
-  result.outputs.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    // On budget exhaustion the committed transcript may be short; pad with
-    // zeros so output functions see a full-length transcript.
-    BitString pi = result.transcripts[i];
-    while (static_cast<int>(pi.size()) < T) pi.PushBack(false);
-    result.outputs.push_back(protocol.party(i).ComputeOutput(pi));
-  }
-  result.noisy_rounds_used = engine.rounds_used();
-  result.phase_rounds = engine.phase_rounds();
-  result.verdict = ComputeVerdict(result.transcripts, T, exhausted);
-  tracker.Export(result.verdict);
-  return result;
+  return internal::FinishResult(protocol, views, engine, tracker, exhausted,
+                                disagreements);
 }
 
 std::string RewindSimulator::name() const {

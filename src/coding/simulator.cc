@@ -1,5 +1,8 @@
 #include "coding/simulator.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -7,11 +10,17 @@ namespace noisybeeps {
 namespace {
 
 // Deterministic tie-break for the plurality transcript: true when a is
-// lexicographically less than b (shorter prefix wins on a tie).
+// lexicographically less than b (shorter prefix wins on a tie).  Bit i
+// lives at bit i % 64 of word i / 64, so the first differing bit of a
+// word pair is the lowest set bit of their XOR.
 bool BitsLess(const BitString& a, const BitString& b) {
-  const std::size_t common = a.size() < b.size() ? a.size() : b.size();
-  for (std::size_t i = 0; i < common; ++i) {
-    if (a[i] != b[i]) return !a[i];
+  const std::size_t common = std::min(a.size(), b.size());
+  const std::size_t words = (common + BitString::kWordBits - 1) /
+                            BitString::kWordBits;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    std::uint64_t diff = a.Word(wi) ^ b.Word(wi);
+    if (wi + 1 == words) diff &= BitString::TailMask(common);
+    if (diff != 0) return (a.Word(wi) & (diff & -diff)) == 0;
   }
   return a.size() < b.size();
 }
@@ -38,21 +47,28 @@ SimulationVerdict ComputeVerdict(const std::vector<BitString>& transcripts,
   SimulationVerdict verdict;
   verdict.budget_exhausted = budget_exhausted;
   verdict.agreement.assign(n, 0);
-  // O(n^2) transcript comparisons; n is the party count (tens to a few
-  // hundred) and comparisons are word-wise, so this is cheap next to the
-  // simulation itself.
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (transcripts[i] == transcripts[j]) ++verdict.agreement[i];
+  // Sorting the parties by transcript puts each group of equal
+  // transcripts in one run: its length is every member's agreement, and
+  // the first longest run holds the least transcript among the largest
+  // groups -- the plurality with ties broken toward the least.
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return BitsLess(transcripts[a], transcripts[b]);
+  });
+  int best = order.front();
+  for (std::size_t run = 0; run < order.size();) {
+    std::size_t next = run + 1;
+    while (next < order.size() &&
+           transcripts[order[next]] == transcripts[order[run]]) {
+      ++next;
     }
-  }
-  int best = 0;
-  for (int i = 0; i < n; ++i) {
-    const bool bigger = verdict.agreement[i] > verdict.agreement[best];
-    const bool tie_less =
-        verdict.agreement[i] == verdict.agreement[best] &&
-        BitsLess(transcripts[i], transcripts[best]);
-    if (bigger || tie_less) best = i;
+    const int size = static_cast<int>(next - run);
+    for (std::size_t k = run; k < next; ++k) {
+      verdict.agreement[order[k]] = size;
+    }
+    if (size > verdict.agreement[best]) best = order[run];
+    run = next;
   }
   verdict.majority_size = verdict.agreement[best];
   verdict.majority_transcript = transcripts[best];

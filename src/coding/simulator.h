@@ -98,6 +98,15 @@ struct SimulationResult {
   // "owner-finding", "verify-flags", "audit", "repetition"); sums to
   // noisy_rounds_used.
   std::map<std::string, std::int64_t> phase_rounds;
+  // The rewind schemes keep one state per distinct view (parties with
+  // identical decoded history; coding/view_set.h): the most views alive at
+  // once.  1 means every party decoded the same history throughout; 0
+  // for simulators that keep no views.
+  int peak_views = 0;
+  // The rewind schemes' flag exchanges (verify-flags and audit) in which
+  // some party's decoded verdict differed from party 0's, whose verdict
+  // drives every party's control flow (coding/sim_common.h).
+  std::int64_t verdict_disagreements = 0;
 
   // Source-compatible accessor for the old lone failure bool (tests assert
   // this stays false at documented budgets).

@@ -57,7 +57,8 @@ std::vector<std::uint8_t> CommunicateFlags(RoundEngine& engine,
 
 std::vector<std::size_t> BinarySearchVerifiedPrefix(
     RoundEngine& engine, const std::vector<std::size_t>& first_violation,
-    std::size_t total_len, int reps, FlagRule rule) {
+    std::size_t total_len, int reps, FlagRule rule,
+    std::int64_t* disagreements) {
   const auto n = static_cast<int>(engine.num_parties());
   NB_REQUIRE(static_cast<int>(first_violation.size()) == n,
              "one local violation index per party");
@@ -90,6 +91,11 @@ std::vector<std::size_t> BinarySearchVerifiedPrefix(
     }
     const std::vector<std::uint8_t> verdict =
         CommunicateFlags(engine, flags, reps, rule);
+    if (disagreements != nullptr &&
+        std::any_of(verdict.begin(), verdict.end(),
+                    [&](std::uint8_t v) { return v != verdict[0]; })) {
+      ++*disagreements;
+    }
     for (int i = 0; i < n; ++i) {
       if (bracket[i].hi <= bracket[i].lo) continue;
       const std::size_t probe =

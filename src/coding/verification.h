@@ -49,7 +49,10 @@ enum class FlagRule {
 // rounds it already committed.  `owners[m]` is the party's
 // owner record for round m (-1 = none); required (same size as transcript)
 // in regime kTwoSided, ignored in kDownOnly.  Replays the party's pure
-// beep function along rounds [from, transcript.size()).
+// beep function along rounds [from, transcript.size()).  The schemes use
+// internal::AllFirstViolations (coding/sim_common.h), which reads the
+// beeps each party recorded instead of replaying them; this replay is
+// its reference.
 [[nodiscard]] std::size_t FirstViolation(const Protocol& protocol,
                                          int party_index,
                                          const BitString& transcript,
@@ -70,10 +73,13 @@ enum class FlagRule {
 // Runs ceil(log2(total_len + 1)) flag exchanges of `reps` rounds each; all
 // parties follow the same probe schedule, so under a correlated channel
 // they return identical results.  Returns each party's view of the
-// verified prefix length.
+// verified prefix length.  When `disagreements` is non-null, adds the
+// number of flag exchanges in which some party's decoded verdict differed
+// from party 0's.
 [[nodiscard]] std::vector<std::size_t> BinarySearchVerifiedPrefix(
     RoundEngine& engine, const std::vector<std::size_t>& first_violation,
-    std::size_t total_len, int reps, FlagRule rule);
+    std::size_t total_len, int reps, FlagRule rule,
+    std::int64_t* disagreements = nullptr);
 
 }  // namespace noisybeeps
 

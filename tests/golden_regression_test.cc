@@ -176,6 +176,87 @@ TEST(Golden, RewindIndependentOddPartiesWithFaultsIsPinned) {
   EXPECT_EQ(DigestViews(result), 0x56b2ca55124bd2cdULL);
 }
 
+// A correlated channel with one deaf party: every other party receives
+// the same bits, the deaf one receives 0s, so one channel carries two
+// views.  The deaf party's view splits off in the first chunk and is
+// carried through commits and rewinds to the end (majority 39 of 40).
+TEST(Golden, RewindCorrelatedDeafPartySplitsViewsIsPinned) {
+  Rng rng(2);
+  const InputSetInstance instance = SampleInputSet(40, rng);
+  const auto protocol = MakeInputSetProtocol(instance);
+  const CorrelatedNoisyChannel channel(0.05);
+  FaultPlan faults(/*seed=*/3);
+  faults.DeafReceiver(11, 100, 100000);
+  const RewindSimulator sim;
+  const SimulationResult result = sim.Simulate(*protocol, channel, faults, rng);
+  EXPECT_EQ(result.noisy_rounds_used, 107952);
+  EXPECT_EQ(result.phase_rounds,
+            (std::map<std::string, std::int64_t>{{"chunk-sim", 19760},
+                                                 {"owner-finding", 87360},
+                                                 {"verify-flags", 832}}));
+  EXPECT_EQ(result.verdict.status, SimulationStatus::kDegraded);
+  EXPECT_EQ(result.verdict.majority_size, 39);
+  EXPECT_EQ(result.verdict.first_divergent_phase, "chunk-sim");
+  EXPECT_EQ(result.verdict.first_divergence_round, 4120);
+  EXPECT_EQ(DigestViews(result), 0xd5f416b514c2e77eULL);
+}
+
+// Hierarchical scheme on the independent channel at eps = 0.15 with
+// n = 65 (one full and one one-party 64-party lane): views split in the
+// chunk and owner phases, rewinds restore them, and one party ends on its
+// own transcript.
+TEST(Golden, HierarchicalIndependentTwoLanesIsPinned) {
+  Rng rng(3);
+  const BitExchangeInstance instance = SampleBitExchange(65, 4, rng);
+  const auto protocol = MakeBitExchangeProtocol(instance);
+  const IndependentNoisyChannel channel(0.15);
+  HierarchicalSimOptions options;
+  options.base.code_length_factor = 9;
+  const HierarchicalSimulator sim(options);
+  const SimulationResult result = sim.Simulate(*protocol, channel, rng);
+  EXPECT_EQ(result.noisy_rounds_used, 44848);
+  EXPECT_EQ(result.phase_rounds,
+            (std::map<std::string, std::int64_t>{{"audit", 1544},
+                                                 {"chunk-sim", 5720},
+                                                 {"owner-finding", 37440},
+                                                 {"verify-flags", 144}}));
+  EXPECT_EQ(result.verdict.status, SimulationStatus::kDegraded);
+  EXPECT_EQ(result.verdict.majority_size, 64);
+  EXPECT_EQ(result.verdict.first_divergent_phase, "chunk-sim");
+  EXPECT_EQ(result.verdict.first_divergence_round, 32762);
+  EXPECT_EQ(DigestViews(result), 0x236cb9c1dfb40bd0ULL);
+}
+
+// As above with a shorter beep code (factor 8): every party ends up in a
+// view of its own, and an audit's truncation to 130 rounds makes views
+// equal again, so they merge; all transcripts agree at the end while 64
+// parties' owner records still differ from party 0's.
+TEST(Golden, HierarchicalIndependentAuditMergesViewsIsPinned) {
+  Rng rng(3);
+  const BitExchangeInstance instance = SampleBitExchange(65, 4, rng);
+  const auto protocol = MakeBitExchangeProtocol(instance);
+  const IndependentNoisyChannel channel(0.15);
+  HierarchicalSimOptions options;
+  options.base.code_length_factor = 8;
+  const HierarchicalSimulator sim(options);
+  const SimulationResult result = sim.Simulate(*protocol, channel, rng);
+  EXPECT_EQ(result.noisy_rounds_used, 79832);
+  EXPECT_EQ(result.phase_rounds,
+            (std::map<std::string, std::int64_t>{{"audit", 1544},
+                                                 {"chunk-sim", 11440},
+                                                 {"owner-finding", 66560},
+                                                 {"verify-flags", 288}}));
+  EXPECT_EQ(result.verdict.status, SimulationStatus::kOk);
+  EXPECT_EQ(result.verdict.first_divergent_phase, "chunk-sim");
+  EXPECT_EQ(result.verdict.first_divergence_round, 19536);
+  int owner_views_unlike_party0 = 0;
+  for (const std::vector<int>& owners : result.owners) {
+    owner_views_unlike_party0 += owners != result.owners.front();
+  }
+  EXPECT_EQ(owner_views_unlike_party0, 64);
+  EXPECT_EQ(DigestViews(result), 0x4030b7ea95cd83bfULL);
+}
+
 TEST(Golden, TraceCsvRoundTrips) {
   Rng rng(9);
   const InputSetInstance instance = SampleInputSet(4, rng);
